@@ -3,8 +3,9 @@
     python3 perfbench/run.py --workload line-sweep --seed 1 --seconds 20 --trace 0
 
 Run from the root of a checkout.  ``--trace 0`` measures the
-end-to-end metrics with nothing wrapped; ``--trace 1`` runs a shorter
-plan twice, untraced and traced, and reports the per-layer metrics.
+end-to-end metrics with nothing wrapped, as the median of three
+fresh-process sub-runs; ``--trace 1`` runs a shorter plan twice,
+untraced and traced, and reports the per-layer metrics.
 Human-readable lines come first (host facts, the digest of the seeded
 deterministic records, every metric with its unit); the last line of
 standard output is one JSON object with the keys ``correct``,
@@ -113,8 +114,11 @@ def sub_runs(args) -> list[dict]:
         proc = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
              "--seed", str(args.seed), "--seconds", str(args.seconds), "--sub-run"],
-            cwd=ROOT, capture_output=True, text=True, timeout=170, check=True,
+            cwd=ROOT, capture_output=True, text=True, timeout=170,
         )
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr)
+            raise RuntimeError(f"sub-run exited with status {proc.returncode}")
         outs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
     return outs
 
