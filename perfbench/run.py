@@ -1,11 +1,11 @@
 """Benchmark entry point.
 
-    python3 perfbench/run.py --workload line-sweep --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload line-sweep --seed 1 --seconds 24 --trace 0
 
 Run from the root of a checkout.  ``--trace 0`` measures the
-end-to-end metrics with nothing wrapped, as the median of three
-fresh-process sub-runs; ``--trace 1`` runs a shorter plan twice,
-untraced and traced, and reports the per-layer metrics.
+end-to-end metrics with nothing wrapped, over fresh-process sub-runs;
+``--trace 1`` runs a shorter plan twice, untraced and traced, and
+reports the per-layer metrics.
 Human-readable lines come first (host facts, the digest of the seeded
 deterministic records, every metric with its unit); the last line of
 standard output is one JSON object with the keys ``correct``,
@@ -33,13 +33,16 @@ import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-#: An untraced run is this many sub-runs, one after another, each in a
-#: fresh interpreter with a third of ``--seconds``; every end-to-end
-#: metric is the median of the sub-runs' values.  The reference box's
-#: speed drifts by 15-25 % for seconds at a time; a median of three
-#: sub-runs sheds a slow stretch that hits one of them, where one long
-#: measurement would average it in.
-SUB_RUNS = 3
+#: An untraced run is the workload's ``sub_runs`` sub-runs, one after
+#: another, each in a fresh interpreter with its share of ``--seconds``,
+#: then as many set-up-only processes as bring the set-ups to this
+#: count; ``setup_s`` is their median.  The other metrics pool every
+#: sub-run's timed phase: totals for wall time and throughput, medians
+#: over every op for latencies, the highest peak for memory.  The
+#: reference box's speed drifts by 15-40 % for seconds at a time, so a
+#: figure read off one op or one sub-run is as noisy as that, and a
+#: figure pooled over the whole run much less so.
+SET_UPS = 3
 #: The traced run's plan is this share of ``--seconds`` (it runs twice,
 #: and the traced pass is slower).
 TRACE_SHARE = 0.25
@@ -73,6 +76,8 @@ def parse_args(argv):
     parser.add_argument("--sub-run", action="store_true",
                         help="run one untraced sub-run in this process and "
                              "print its raw result (used by the parent run)")
+    parser.add_argument("--set-up-only", action="store_true",
+                        help="as --sub-run, but stop after set-up")
     return parser.parse_args(argv)
 
 
@@ -101,60 +106,102 @@ def tail(values: list[float]) -> tuple[float, float]:
 def latency_metrics(prefix: str, values: list[float], notes: dict) -> dict:
     ms = [v * 1000 for v in values]
     q, worst = tail(ms)
-    notes[f"{prefix}_tail_ms"] = f"p{q:g} of {len(ms)}"
-    notes[f"{prefix}_p50_ms"] = f"median of {len(ms)}"
+    notes[f"{prefix}_tail_ms"] = f"p{q:g} of {len(ms)} ops"
+    notes[f"{prefix}_p50_ms"] = f"median of {len(ms)} ops"
     return {f"{prefix}_p50_ms": statistics.median(ms), f"{prefix}_tail_ms": worst}
 
 
-def sub_runs(args) -> list[dict]:
-    """Run :data:`SUB_RUNS` untraced sub-runs, each in a fresh
-    interpreter, one after another; returns their raw results."""
+def sub_runs(args, count: int) -> tuple[list[dict], list[float]]:
+    """Run ``count`` untraced sub-runs, each in a fresh interpreter,
+    then set-up-only processes up to :data:`SET_UPS` set-ups, one after
+    another; returns the sub-runs' raw results and every set-up time."""
     outs = []
-    for _ in range(SUB_RUNS):
+    for i in range(max(count, SET_UPS)):
+        flag = "--sub-run" if i < count else "--set-up-only"
         proc = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
-             "--seed", str(args.seed), "--seconds", str(args.seconds), "--sub-run"],
+             "--seed", str(args.seed), "--seconds", str(args.seconds / count), flag],
             cwd=ROOT, capture_output=True, text=True, timeout=170,
         )
         if proc.returncode != 0:
             sys.stderr.write(proc.stderr)
             raise RuntimeError(f"sub-run exited with status {proc.returncode}")
         outs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-    return outs
+    return outs[:count], [out["setup_s"] for out in outs]
+
+
+def pin_to_one_core() -> set[int]:
+    """Confine this process (all its threads) to one of its usable
+    cores; returns the cores it had.
+
+    Every workload is a closed loop, and the interpreter runs one
+    thread at a time, so one core loses no work.  It does save the
+    cross-core wake-ups between the service's client, HTTP and worker
+    threads: on the 2-core reference VM they made service-mix 1.5x
+    slower and its figures spread 0.3-0.6 over four runs, against
+    0.15-0.2 pinned, in runs taken alternately."""
+    cores = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(cores)})
+    return cores
 
 
 def sub_run(workload_cls, args, workdir) -> dict:
     """One untraced sub-run: set up (timed from interpreter start),
-    run the plan for ``seconds / SUB_RUNS``, check the outputs."""
+    run the plan for ``--seconds``, check the outputs; returns raw
+    timings for the parent to pool.  With ``--set-up-only`` it closes
+    right after set-up and returns only ``setup_s``."""
     from perfbench.workloads import digest, run_ops, work_counts
 
-    ops = workload_cls().plan(args.seed, args.seconds / SUB_RUNS)
+    pin_to_one_core()
+    ops = workload_cls().plan(args.seed, args.seconds)
     workload = workload_cls()
     workload.open(workdir)
     setup = time.perf_counter() - _STARTED
+    if args.set_up_only:
+        workload.close()
+        return {"setup_s": setup}
     try:
         results, wall = run_ops(workload.execute, ops)
     finally:
         workload.close()
     failures, n_aggregate = workload.check(ops, results)
     work = work_counts(results)
-    notes: dict[str, str] = {}
-    metrics = {
+    return {
         "setup_s": setup,
         "wall_s": wall,
-        "eff_per_s": work["effective"] / wall,
-        "configs_per_s": work["configs"] / wall,
-        "jobs_per_s": len(ops) / wall,
-    }
-    for kind in ("cold", "warm"):
-        metrics.update(latency_metrics(
-            kind, [r.latency_s for op, r in zip(ops, results) if op.kind == kind], notes))
-    metrics["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {
-        "metrics": metrics, "notes": notes, "digest": digest(results),
+        "ops": len(ops),
+        "effective": work["effective"],
+        "configs": work["configs"],
+        "latency_s": {kind: [r.latency_s for op, r in zip(ops, results) if op.kind == kind]
+                      for kind in ("cold", "warm")},
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "digest": digest(results),
         "attempted": len(ops) + n_aggregate, "failed": count_failed(failures),
         "messages": [m for _, m in failures],
     }
+
+
+def pooled(outs: list[dict], setups: list[float]) -> tuple[dict, dict]:
+    """The end-to-end metrics of a run from its sub-runs' raw results
+    and its set-up times: ``(metrics, notes)``."""
+    wall = sum(out["wall_s"] for out in outs)
+    notes = {
+        "setup_s": f"median of {len(setups)} fresh-process set-ups",
+        "wall_s": f"sum of {len(outs)} sub-runs' timed phases",
+        "peak_rss_mb": f"highest of {len(outs)} sub-runs",
+    }
+    metrics = {
+        "setup_s": statistics.median(setups),
+        "wall_s": wall,
+        "eff_per_s": sum(out["effective"] for out in outs) / wall,
+        "configs_per_s": sum(out["configs"] for out in outs) / wall,
+        "jobs_per_s": sum(out["ops"] for out in outs) / wall,
+    }
+    for kind in ("cold", "warm"):
+        metrics.update(latency_metrics(
+            kind, [v for out in outs for v in out["latency_s"][kind]], notes))
+    metrics["peak_rss_mb"] = max(out["peak_rss_mb"] for out in outs)
+    return {name: metrics[name] for name, _ in END_TO_END}, notes
 
 
 def count_failed(failures) -> int:
@@ -209,14 +256,15 @@ def execute(workload_cls, ops, workdir, tracer=None):
 
 
 def pool_rows() -> tuple[dict, list[str]]:
-    """line-sweep's process-pool rows: one sweep (two trials per size) on
-    the serial executor and again on the process executor at jobs =
-    usable cores."""
+    """line-sweep's process-pool rows: one sweep (two trials at each of
+    the three smallest sizes) on the serial executor and again on the
+    process executor at jobs = usable cores."""
     from repro.analysis.runner import Runner
     from perfbench.workloads import LineSweep
 
     cores = len(os.sched_getaffinity(0))
-    spec = LineSweep().sweep(2)
+    line = LineSweep()
+    spec = line.sweep(2, line.sizes[:3])
     start = time.perf_counter()
     serial = Runner(jobs=1, executor="serial").run(spec)
     serial_s = time.perf_counter() - start
@@ -279,7 +327,7 @@ def main(argv=None) -> int:
     outdir = ROOT / ".perfbench"
     workdir = outdir / f"tmp-{os.getpid()}"
 
-    if args.sub_run:
+    if args.sub_run or args.set_up_only:
         try:
             print(json.dumps(sub_run(workload_cls, args, workdir)))
         finally:
@@ -291,14 +339,8 @@ def main(argv=None) -> int:
               f"host: {json.dumps(facts)}"]
     try:
         if args.trace == 0:
-            outs = sub_runs(args)
-            metrics = {
-                name: statistics.median(out["metrics"][name] for out in outs)
-                for name, _ in END_TO_END
-            }
-            notes = {name: f"median of {len(outs)} fresh-process sub-runs; {note}"
-                     for name, note in outs[0]["notes"].items()}
-            notes["setup_s"] = f"median of {len(outs)} fresh-process set-ups"
+            outs, setups = sub_runs(args, workload_cls.sub_runs)
+            metrics, notes = pooled(outs, setups)
             units = dict(END_TO_END)
             digests = sorted({out["digest"] for out in outs})
             lines = [f"digest: {' '.join(digests)}"]
@@ -310,9 +352,13 @@ def main(argv=None) -> int:
                 messages.append("sub-runs in fresh processes produced different records")
         else:
             ops = workload_cls().plan(args.seed, args.seconds * TRACE_SHARE)
-            plain, results_u, wall_u = execute(workload_cls, ops, workdir)
-            tracer = Tracer()
-            traced, results_t, wall_t = execute(workload_cls, ops, workdir, tracer)
+            cores = pin_to_one_core()
+            try:
+                plain, results_u, wall_u = execute(workload_cls, ops, workdir)
+                tracer = Tracer()
+                traced, results_t, wall_t = execute(workload_cls, ops, workdir, tracer)
+            finally:
+                os.sched_setaffinity(0, cores)
             failures, n_aggregate = plain.check(ops, results_u)
             traced_failures, _ = traced.check(ops, results_t)
             # Traced ops count as operations of their own.

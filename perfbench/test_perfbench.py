@@ -24,6 +24,9 @@ from perfbench.workloads import (
 class TinyLine(LineSweep):
     sizes = (10, 14)
 
+    def trial_seconds(self, n):
+        return 0.25
+
 
 class TinyGrid(FaultGrid):
     loads = (0, 1)
@@ -159,6 +162,37 @@ def test_tail_takes_the_highest_percentile_with_ten_beyond():
     assert run.tail([float(i) for i in range(1, 40)]) == (50.0, 20.0)
     assert run.tail([float(i) for i in range(1, 41)]) == (75.0, 30.0)
     assert run.tail([float(i) for i in range(1, 1001)]) == (75.0, 750.0)
+
+
+def test_pooled_sums_walls_and_pools_latencies():
+    outs = [
+        {"wall_s": 2.0, "ops": 4, "effective": 100, "configs": 10,
+         "latency_s": {"cold": [0.1, 0.3], "warm": [0.2]}, "peak_rss_mb": 50.0},
+        {"wall_s": 3.0, "ops": 6, "effective": 400, "configs": 40,
+         "latency_s": {"cold": [0.2], "warm": [0.4, 0.6]}, "peak_rss_mb": 70.0},
+    ]
+    metrics, notes = run.pooled(outs, [1.0, 3.0, 2.0])
+    assert list(metrics) == [name for name, _ in run.END_TO_END]
+    assert metrics["setup_s"] == 2.0
+    assert metrics["wall_s"] == 5.0
+    assert metrics["eff_per_s"] == pytest.approx(100.0)
+    assert metrics["configs_per_s"] == pytest.approx(10.0)
+    assert metrics["jobs_per_s"] == pytest.approx(2.0)
+    assert metrics["cold_p50_ms"] == pytest.approx(200.0)
+    assert metrics["warm_p50_ms"] == pytest.approx(400.0)
+    assert metrics["peak_rss_mb"] == 70.0
+    assert notes["cold_p50_ms"] == "median of 3 ops"
+
+
+def test_pin_to_one_core_returns_what_to_restore():
+    import os
+
+    before = os.sched_getaffinity(0)
+    try:
+        assert run.pin_to_one_core() == before
+        assert len(os.sched_getaffinity(0)) == 1
+    finally:
+        os.sched_setaffinity(0, before)
 
 
 def test_spanning_line_check():

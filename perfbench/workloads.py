@@ -136,6 +136,9 @@ class Workload:
     name = ""
     #: Registry specs the workload runs (instantiated during set-up).
     protocols: tuple[str, ...] = ()
+    #: An untraced run is this many fresh-process sub-runs, each running
+    #: the whole plan for its share of ``--seconds``.
+    sub_runs = 3
 
     def plan(self, seed: int, seconds: float) -> list[Op]:
         raise NotImplementedError
@@ -189,34 +192,40 @@ class LineSweep(Workload):
 
     The timed phase is one sweep over every size (cold), then the same
     sweep resubmitted (warm).  Trials are few and long, so the op is the
-    whole sweep.
+    whole sweep.  An untraced run is two sub-runs, so each latency
+    median is the mean of two identical sweeps rather than one sweep
+    read off the middle of three.
 
     The sweep's base seed is fixed (0) and ``--seed`` is unused: at
-    these sizes a trial's convergence time varies by about 30 % from
-    seed to seed and its cost per effective interaction with the
-    trajectory, and only about nine trials fit in a run, so a seeded
-    trial set would move every timing by more than the changes this
-    workload exists to measure.  The law's seed-to-seed variation is
-    the distributional tests' business, not the benchmark's."""
+    these sizes a trial's convergence time varies by a factor of two
+    from seed to seed, and only a handful of trials fit in a run, so a
+    seeded trial set would move every timing by more than the changes
+    this workload exists to measure.  The law's seed-to-seed variation
+    is the distributional tests' business, not the benchmark's."""
 
     name = "line-sweep"
     protocols = ("simple-global-line",)
-    sizes = (240, 360, 480)
+    sizes = (240, 320, 400, 480)
     base_seed = 0
-    #: Wall seconds of one trial per size on the reference box (sizes
-    #: the plan: the cold sweep and its resubmission fill ``seconds``).
-    trial_round_seconds = 3.5
+    sub_runs = 2
 
-    def sweep(self, trials: int):
+    def trial_seconds(self, n: int) -> float:
+        """Estimated wall seconds of one trial at size ``n`` on the
+        reference box (sizes the plan): mean over three seeds, 0.55 s
+        at n=240, growing about as n^2.2."""
+        return 0.55 * (n / 240) ** 2.2
+
+    def sweep(self, trials: int, sizes: tuple[int, ...] | None = None):
         from repro.analysis.runner import ExperimentSpec
 
         return ExperimentSpec(
-            self.protocols[0], self.sizes, trials, engine="indexed",
+            self.protocols[0], sizes or self.sizes, trials, engine="indexed",
             base_seed=self.base_seed,
         )
 
     def plan(self, seed: int, seconds: float) -> list[Op]:
-        spec = self.sweep(max(1, round(seconds / (2 * self.trial_round_seconds))))
+        per_trial_round = sum(self.trial_seconds(n) for n in self.sizes)
+        spec = self.sweep(max(1, round(seconds / (2 * per_trial_round))))
         return [Op("cold", spec), Op("warm", spec, 0)]
 
     def open(self, workdir: Path) -> None:
@@ -289,7 +298,7 @@ class FaultGrid(Workload):
     sequential_n = 12
     sequential_max_steps = 50_000
     #: Wall seconds of one round on the reference box (sizes the plan).
-    round_seconds = 1.2
+    round_seconds = 1.3
 
     def plan(self, seed: int, seconds: float) -> list[Op]:
         from repro.analysis.robustness import RobustnessSpec
@@ -386,7 +395,7 @@ class ServiceMix(Workload):
     sizes = ((8,), (12,), (16,), (8, 12))
     trials = 2
     #: Jobs per second on the reference box (sizes the plan).
-    jobs_per_second = 150
+    jobs_per_second = 160
 
     def plan(self, seed: int, seconds: float) -> list[Op]:
         from repro.analysis.runner import ExperimentSpec
@@ -499,10 +508,14 @@ class ServiceMix(Workload):
 #: count), plus the cell's approximate seconds on the reference box
 #: (sizes the plan).
 VERIFY_CELLS: dict[tuple[str, int], tuple[bool, int, float]] = {
-    ("global-star", 5): (True, 178, 0.11),
-    ("2rc", 6): (True, 506, 0.3),
-    ("k-regular-connected", 6): (True, 1937, 1.2),
-    ("2rc", 7): (True, 1956, 3.2),
+    ("2rc", 6): (True, 506, 0.26),
+    ("c-cliques", 8): (True, 119, 0.33),
+    ("fast-global-line", 8): (True, 178, 0.36),
+    ("faster-global-line", 8): (True, 116, 0.34),
+    ("global-ring", 8): (True, 373, 0.43),
+    ("simple-global-line", 8): (True, 44, 0.36),
+    # Not a benchmark cell: the benchmark's own tests run it.
+    ("global-star", 5): (True, 178, 0.10),
 }
 
 
@@ -510,35 +523,47 @@ class VerifyModel(Workload):
     """``model_check`` over fixed cells; deterministic, so the seed is
     unused.
 
-    One op is a pass over every cell (about 5 s); the cold pass is
-    resubmitted as often as the budget allows, at least once (warm ops
-    recompute: the verifier path has no result cache).  A pass lasts
-    seconds, so its latency averages over the short slowdowns of a
-    shared machine that would swing a single small cell's latency."""
+    One op is one cell.  The cells cost about the same (0.25-0.45 s on
+    the reference box), so the latency medians are medians of like
+    measurements.  The cold ops check every cell once; warm ops then
+    recheck the cells in the same order, pass after pass, as the budget
+    allows (at least one pass; the verifier path has no result cache,
+    so a warm op recomputes)."""
 
     name = "verify-model"
-    cells = tuple(VERIFY_CELLS)
-    protocols = tuple(sorted({name for name, _ in cells}))
+    cells: tuple[tuple[str, int], ...] = (
+        ("2rc", 6), ("c-cliques", 8), ("fast-global-line", 8),
+        ("faster-global-line", 8), ("global-ring", 8), ("simple-global-line", 8),
+    )
+
+    @property
+    def protocols(self) -> tuple[str, ...]:
+        return tuple(sorted({name for name, _ in self.cells}))
 
     def plan(self, seed: int, seconds: float) -> list[Op]:
         passes = max(2, round(seconds / sum(VERIFY_CELLS[c][2] for c in self.cells)))
-        return [Op("cold", self.cells)] + [Op("warm", self.cells, 0) for _ in range(passes - 1)]
+        ops = [Op("cold", cell) for cell in self.cells]
+        ops += [Op("warm", cell, i) for _ in range(passes - 1) for i, cell in enumerate(self.cells)]
+        return ops
+
+    def open(self, workdir: Path) -> None:
+        import repro.verify.model  # noqa: F401  (imported at set-up, not by the first op)
+
+        super().open(workdir)
 
     def execute(self, op: Op) -> OpResult:
         from repro.protocols import registry
         from repro.verify.model import model_check
 
+        name, n = op.payload
         start = time.perf_counter()
-        reports = [(cell, model_check(registry.instantiate(cell[0]), cell[1])) for cell in op.payload]
+        report = model_check(registry.instantiate(name), n)
         latency = time.perf_counter() - start
-        records = tuple(
-            (name, n, r.ok, r.n_configs, r.n_transitions, r.n_sccs, r.n_terminal_sccs)
-            for (name, n), r in reports
-        )
-        return OpResult(
-            latency, records,
-            sum(r.n_transitions for _, r in reports), sum(r.n_configs for _, r in reports),
-        )
+        records = ((
+            name, n, report.ok, report.n_configs, report.n_transitions,
+            report.n_sccs, report.n_terminal_sccs,
+        ),)
+        return OpResult(latency, records, report.n_transitions, report.n_configs)
 
     def check(self, ops, results):
         failures = _error_failures(results) + _twin_failures(ops, results)
