@@ -1,7 +1,7 @@
 """Simulation engines for network constructors.
 
-Three engines share identical interaction semantics; under the uniform
-random scheduler all three sample the **same distribution** over
+Three per-node engines share identical interaction semantics; under the
+uniform random scheduler all three sample the **same distribution** over
 executions (verified by the distributional-equivalence tests), so the
 choice is purely a performance/flexibility trade-off.
 
@@ -11,76 +11,66 @@ Engine-selection guide
   scheduler pick per step, **any** :class:`~repro.core.scheduler.Scheduler`
   (round-robin, scripted, adversarial...).  O(1) per scheduler step but
   walks every ineffective step; use it when you need a non-uniform
-  scheduler or a ground-truth check.
-* :class:`AgitatedSimulator` — event-driven engine for the uniform random
-  scheduler.  Maintains the set of *effective* pairs explicitly and skips
-  ineffective steps with a geometric draw, but rescans all ``n - 1``
+  scheduler or a ground-truth check.  Its pick-by-pick loop shares no
+  code with the event-driven loop, so the KS gates compare two
+  independent samplers of the scheduler's law.
+* :class:`AgitatedSimulator` — event-driven; its pair source is the
+  explicit set of *effective* pairs, rescanned over all ``n - 1``
   partners of a node whenever its state changes: O(n) per effective
-  interaction.  Kept as the independently-coded cross-check for the
-  indexed engine.
+  interaction.  Kept as the independently-coded cross-check of the
+  indexed pair source.
 * :class:`IndexedSimulator` — the default production engine (used by
-  :func:`run_to_convergence`).  Replaces per-pair bookkeeping with a
-  class-level census (:class:`~repro.core.indexing.PairClassIndex`):
-  candidate pairs are grouped by their state-class triple ``(a, b, c)``,
-  non-edge pairs are counted combinatorially from per-state node counts,
-  active edges are indexed per class, and an effective interaction is
-  sampled by drawing a class proportional to its pair count and then a
-  uniform pair within it.  Together with the interned/memoized rule table
-  of :meth:`~repro.core.protocol.Protocol.compile`, maintenance is
+  :func:`run_to_convergence`); its pair source is a class-level census
+  (:class:`~repro.core.indexing.PairClassIndex`, see its docs) over the
+  interned rule table of :meth:`~repro.core.protocol.Protocol.compile`:
   O(present states + degree) per effective interaction — O(1) amortized
   for the paper's constant-state protocols — instead of O(n).
 
 Use the :data:`ENGINES` registry (``"sequential"``, ``"agitated"``,
-``"indexed"``) to select an engine by name in CLIs and experiment
-runners.  All engines measure the paper's convergence time: the last step
-at which the output graph changed (``RunResult.convergence_time``).
+``"indexed"``) to select an engine by name.  All engines measure the
+paper's convergence time: the last step at which the output graph
+changed (``RunResult.convergence_time``).  Engines are
+*capability-aware*: each class declares ``supports(scenario)`` (see
+:mod:`repro.core.scenario`).  The event-driven engines require the
+uniform random scheduler — their geometric skips encode its law — so
+adaptive schedulers (``targeted:aim=...``), which read the live
+configuration, run on the sequential engine.
 
-Scenario support
-----------------
-Engines are *capability-aware*: each class declares ``supports(scenario)``
-(see :mod:`repro.core.scenario`).  The event-driven engines require the
-uniform random scheduler — their geometric skips encode its law — while
-the sequential engine drives any registered scheduler.  All three apply
-**fault injection** between scheduler picks: every engine accepts a
-``faults`` tuple of :class:`~repro.core.faults.FaultModel` s, compiled
-per run into a step-indexed :class:`~repro.core.faults.FaultPlan`.  The
-event-driven engines cap their geometric skips at the plan's next event,
-so fault timing is exact without walking the skipped steps.  Crashed
-nodes move to the :data:`~repro.core.faults.DEAD` sentinel state, lose
-their edges, and leave the candidate-pair census; scheduler steps count
-picks among *alive* pairs only, identically in all engines.  Each
-surviving neighbor of a crash victim is notified through
-:meth:`~repro.core.protocol.Protocol.on_neighbor_crash` (the minimal
-strengthening of Fault Tolerant Network Constructors 2019) — a no-op
-for ordinary protocols, the repair trigger for fault-aware ones.
-Environment edge deletions (``cut``/``edge-drop``/``edge-rate``)
-likewise notify both endpoints through
-:meth:`~repro.core.protocol.Protocol.on_edge_loss`, identically in all
-three engines; *silent* cuts (byzantine edge-flag lies) and
-``corrupt`` state lies (see
-:class:`~repro.core.faults.ByzantineFaults`) bypass the hooks.
-**Adaptive schedulers** (``targeted:aim=...``) read the live
-configuration: the sequential engine hands them the evolving
-configuration and protocol when binding the pair stream, and the
-event-driven engines decline such scenarios via ``supports()``.  A
-fault that changes the configuration counts as an output-graph change
-(it removes nodes or active edges), so ``convergence_time`` measures
-the *restabilization* time of the surviving population.
+One loop, one fault applier
+---------------------------
+The event-driven engines run on **one uniform loop**
+(:meth:`_UniformEngine.run`): the clock advances by a
+``Geometric(k/m) - 1`` skip of ineffective picks (``k`` effective pairs
+among the ``m`` alive pairs), then one sampled interaction fires; the
+loop jumps to the next fault event when that comes first and stops on
+quiescence, on the certificate, or on the ``max_steps`` /
+``max_effective_steps`` budgets.  The engines differ only in the *pair
+source* behind it, which counts the effective pairs, fires one
+interaction, and takes the fault hooks.
 
-**Dynamic populations.**  The ``arrive``, ``recover`` and ``churn``
-fault models grow or shrink the alive population mid-run.  All three
-engines handle the population events identically: arriving nodes are
-appended to the configuration in the protocol's initial state
-(:meth:`Configuration.add_node`), recovering nodes leave ``DEAD`` for
-the initial state, and every engine re-derives its pair counts at the
-event — the sequential engine re-binds the scheduler's pair stream to
-the new population size, the agitated engine rescans the new node's
-partners, and the indexed engine files the node into its
-``PairClassIndex`` census.  Stabilization gates on the plan's
-*population horizon*: a certificate holding before a scheduled arrival
-or recovery does not end the run, and quiescence is never declared
-while a population-mutating plan has pending events (a joining node
-can create effective pairs out of nothing).
+All three engines apply the run's step-indexed
+:class:`~repro.core.faults.FaultPlan` (compiled per run from the
+``faults`` models) through **one** :class:`FaultApplier`, which holds
+the semantics; each engine's :class:`Bookkeeping` hooks carry them out.
+Crashed nodes move to the :data:`~repro.core.faults.DEAD` state, lose
+their edges and leave the census; scheduler steps count picks among
+*alive* pairs only.  Each surviving neighbor of a crash victim is
+notified through :meth:`~repro.core.protocol.Protocol.on_neighbor_crash`
+(the minimal strengthening of Fault Tolerant Network Constructors 2019)
+and both endpoints of an environment edge deletion
+(``cut``/``edge-drop``/``edge-rate``) through
+:meth:`~repro.core.protocol.Protocol.on_edge_loss`; *silent* cuts and
+``corrupt`` state lies (:class:`~repro.core.faults.ByzantineFaults`)
+bypass the hooks.  The ``arrive``, ``recover`` and ``churn`` models
+grow or shrink the alive population: joining nodes take the protocol's
+initial state, and the sequential engine re-binds its scheduler's pair
+stream to the new population size.  A fault that changes the
+configuration counts as an output-graph change, so ``convergence_time``
+measures the *restabilization* time of the surviving population.
+Stabilization gates on the plan's *horizon*: a certificate holding
+before a scheduled event does not end the run, and quiescence is never
+declared while a population-mutating plan has pending events (a joining
+node can create effective pairs out of nothing).
 """
 
 from __future__ import annotations
@@ -92,7 +82,7 @@ from typing import Callable
 
 from repro.core.configuration import Configuration
 from repro.core.errors import ConvergenceError, SimulationError
-from repro.core.faults import DEAD, FaultModel, compile_fault_plan
+from repro.core.faults import DEAD, FaultModel, FaultPlan, compile_fault_plan
 from repro.core.indexing import IndexedSet, PairClassIndex
 from repro.core.protocol import Protocol, resolve, sample_outcome
 from repro.core.scheduler import Scheduler, UniformRandomScheduler
@@ -222,26 +212,180 @@ class RunResult:
         return self.last_output_change_step
 
 
-def _output_affected(
-    protocol: Protocol, result: InteractionResult, event: Event
-) -> bool:
-    """Did this interaction possibly change the output graph G(C)?"""
-    out = protocol.output_states
+def _output_affected(out: frozenset | None, event: Event) -> bool:
+    """Did this interaction possibly change the output graph G(C)?
+    ``out`` is the protocol's ``output_states`` (``None``: all states)."""
+    edge_changed = event.edge_before != event.edge_after
     if out is None:
-        return result.edge_changed
-    if result.u_state_changed and (
-        (event.u_before in out) != (event.u_after in out)
-    ):
+        return edge_changed
+    if (event.u_before in out) != (event.u_after in out):
         return True
-    if result.v_state_changed and (
-        (event.v_before in out) != (event.v_after in out)
-    ):
+    if (event.v_before in out) != (event.v_after in out):
         return True
-    if result.edge_changed:
-        # Conservative: an edge touching at least one output node counts
-        # only if both endpoints are output nodes.
-        return event.u_after in out and event.v_after in out
-    return False
+    # Conservative: an edge touching at least one output node counts
+    # only if both endpoints are output nodes.
+    return edge_changed and event.u_after in out and event.v_after in out
+
+
+def _start(
+    engine_name: str, protocol: Protocol, n: int, config: Configuration | None,
+    copy_config: bool, trace: Trace | None, bus: TraceBus | None, min_n: int = 0,
+):
+    """The run's starting configuration and merged publish sink
+    (``None`` when nobody is watching; ``run_started`` is published)."""
+    if config is None:
+        cfg = protocol.initial_configuration(n)
+    else:
+        cfg = config.copy() if copy_config else config
+    if cfg.n != n:
+        raise SimulationError(f"configuration has {cfg.n} nodes, expected {n}")
+    if n < min_n:
+        raise SimulationError(f"need at least {min_n} nodes")
+    publish = merge_sinks(trace, bus)
+    if publish is not None:
+        publish.run_started(RunMeta(
+            protocol.name, n, engine_name,
+            dict(cfg.state_counts()), cfg.n_active_edges,
+        ))
+    return cfg, publish
+
+
+class Bookkeeping:
+    """How one engine carries out what :class:`FaultApplier` decided a
+    fault does.  This base keeps only the configuration (the sequential
+    engine); the event-driven pair sources extend every hook to keep
+    their effective-pair bookkeeping coherent.  ``dead`` is the run's
+    set of crashed nodes, shared with the applier."""
+
+    def __init__(self, cfg: Configuration) -> None:
+        self.cfg = cfg
+        self.dead: set[int] = set()
+
+    def neighbors(self, w: int) -> list[int]:
+        """``w``'s active neighbors, in the order the hooks visit them."""
+        return list(self.cfg.neighbors(w))
+
+    def remove_node(self, w: int, nbrs: list[int], moves: list) -> None:
+        """Crash: drop ``w`` and its edges to ``nbrs``, then apply the
+        notified neighbors' ``(node, new state)`` moves."""
+        cfg = self.cfg
+        for x in nbrs:
+            cfg.set_edge(w, x, 0)
+        for x, state in moves:
+            cfg.set_state(x, state)
+        cfg.set_state(w, DEAD)
+
+    def remove_edge(self, a: int, b: int, moves: list) -> None:
+        """Cut: deactivate ``(a, b)``; then apply the endpoints' moves."""
+        cfg = self.cfg
+        cfg.set_edge(a, b, 0)
+        for x, state in moves:
+            cfg.set_state(x, state)
+
+    def move_node(self, w: int, state) -> None:
+        """A byzantine lie: ``w`` claims ``state``."""
+        self.cfg.set_state(w, state)
+
+    def add_node(self, state) -> int:
+        """An arrival in ``state``; returns the new node's id."""
+        return self.cfg.add_node(state)
+
+    def revive_node(self, w: int, state) -> None:
+        """Dead node ``w`` rejoins in ``state``."""
+        self.cfg.set_state(w, state)
+
+
+class FaultApplier:
+    """Applies a run's :class:`~repro.core.faults.FaultPlan`: the one
+    place the fault semantics of the module docstring live.  ``book``
+    carries each effect out in the engine's own structures; a
+    :class:`FaultFrame` is published only for a step that changed
+    something."""
+
+    def __init__(
+        self, plan: FaultPlan | None, protocol: Protocol, book: Bookkeeping, publish
+    ) -> None:
+        self.plan = plan
+        self.protocol = protocol
+        self.book = book
+        self.dead = book.dead
+        self.publish = publish
+        #: The next step with a scheduled event (``None``: nothing left).
+        self.next = plan.next_step(-1) if plan is not None else None
+        #: Certificates do not end the run before this step.
+        self.horizon = plan.horizon if plan is not None else -1
+        #: A pending event may create effective pairs out of nothing.
+        self.mutates_population = plan is not None and plan.mutates_population
+
+    def drain(self, steps: int) -> bool:
+        """Apply every event due at or before ``steps``; True when any
+        of them changed the configuration."""
+        changed = False
+        while self.next is not None and self.next <= steps:
+            changed |= self._apply(self.next)
+            self.next = self.plan.next_step(self.next)
+        return changed
+
+    def gate_open(self, steps: int) -> bool:
+        """Whether a holding certificate may end the run at ``steps``:
+        the horizon has passed and no event is due now."""
+        return steps >= self.horizon and (self.next is None or self.next > steps)
+
+    def _notified(self, nodes, hook) -> list[tuple[int, object]]:
+        state = self.book.cfg.state
+        moves = []
+        for x in nodes:
+            new_state = hook(state(x))
+            if new_state is not None and new_state != state(x):
+                moves.append((x, new_state))
+        return moves
+
+    def _apply(self, at: int) -> bool:
+        book, dead, cfg = self.book, self.dead, self.book.cfg
+        changed = False
+        kinds: list[str] = []
+        alive = [u for u in range(cfg.n) if u not in dead]
+        for action in self.plan.actions_at(at, cfg, alive):
+            kinds.append(action.kind)
+            if action.kind == "crash":
+                for w in action.nodes:
+                    if w in dead:
+                        continue
+                    nbrs = book.neighbors(w)
+                    moves = self._notified(nbrs, self.protocol.on_neighbor_crash)
+                    dead.add(w)
+                    book.remove_node(w, nbrs, moves)
+                    changed = True
+            elif action.kind == "cut":
+                for a, b in action.edges:
+                    if a in dead or b in dead or not cfg.edge_state(a, b):
+                        continue
+                    moves = [] if action.silent else self._notified(
+                        (a, b), self.protocol.on_edge_loss
+                    )
+                    book.remove_edge(a, b, moves)
+                    changed = True
+            elif action.kind == "corrupt":
+                for w, claim in zip(action.nodes, action.states):
+                    if w not in dead and cfg.state(w) != claim:
+                        book.move_node(w, claim)
+                        changed = True
+            elif action.kind == "arrive":
+                join = _join_state(self.protocol)
+                for _ in range(action.count):
+                    book.add_node(join)
+                changed = True
+            else:  # revive
+                for w in action.nodes:
+                    if w in dead:
+                        dead.discard(w)
+                        book.revive_node(w, _join_state(self.protocol))
+                        changed = True
+        if changed and self.publish is not None:
+            self.publish.fault(FaultFrame(
+                at, tuple(kinds), dict(cfg.state_counts()), cfg.n_active_edges,
+            ))
+        return changed
 
 
 class SequentialSimulator:
@@ -304,214 +448,302 @@ class SequentialSimulator:
                 "max_steps budget"
             )
         rng = random.Random(self.seed)
-        if config is None:
-            cfg = protocol.initial_configuration(n)
-        else:
-            cfg = config.copy() if copy_config else config
-        if cfg.n != n:
-            raise SimulationError(f"configuration has {cfg.n} nodes, expected {n}")
+        cfg, publish = _start(
+            self.engine_name, protocol, n, config, copy_config, trace, bus
+        )
         stabilized = stop if stop is not None else protocol.stabilized
-        steps = 0
-        effective = 0
-        last_change = 0
-        last_output_change = 0
-        since_check = 0
-
-        publish = merge_sinks(trace, bus)
-        if publish is not None:
-            publish.run_started(RunMeta(
-                protocol.name, n, self.engine_name,
-                dict(cfg.state_counts()), cfg.n_active_edges,
-            ))
-
+        out = protocol.output_states
         plan = compile_fault_plan(self.faults, n, self.seed, protocol)
-        dead: set[int] = set()
-        fault_next = plan.next_step(-1) if plan is not None else None
-        horizon = plan.horizon if plan is not None else -1
-        stream_stale = False
-        notify = protocol.on_neighbor_crash
-        notify_loss = protocol.on_edge_loss
+        faults = FaultApplier(plan, protocol, Bookkeeping(cfg), publish)
+        dead = faults.dead
         adaptive = getattr(self.scheduler, "adaptive", False)
 
         def bind_stream():
             if adaptive:
                 return self.scheduler.pairs(
-                    n, rng, config=cfg, protocol=protocol
+                    cfg.n, rng, config=cfg, protocol=protocol
                 )
-            return self.scheduler.pairs(n, rng)
+            return self.scheduler.pairs(cfg.n, rng)
 
-        def apply_fault_actions(at: int) -> bool:
-            nonlocal n, stream_stale
-            changed = False
-            kinds: list[str] = []
-            alive = [u for u in range(n) if u not in dead]
-            for action in plan.actions_at(at, cfg, alive):
-                kinds.append(action.kind)
-                if action.kind == "crash":
-                    for w in action.nodes:
-                        if w in dead:
-                            continue
-                        for x in list(cfg.neighbors(w)):
-                            cfg.set_edge(w, x, 0)
-                            new_state = notify(cfg.state(x))
-                            if new_state is not None:
-                                cfg.set_state(x, new_state)
-                        cfg.set_state(w, DEAD)
-                        dead.add(w)
-                        changed = True
-                elif action.kind == "cut":
-                    for a, b in action.edges:
-                        if a in dead or b in dead:
-                            continue
-                        if cfg.edge_state(a, b):
-                            cfg.set_edge(a, b, 0)
-                            if not action.silent:
-                                for x in (a, b):
-                                    new_state = notify_loss(cfg.state(x))
-                                    if new_state is not None:
-                                        cfg.set_state(x, new_state)
-                            changed = True
-                elif action.kind == "corrupt":
-                    for w, claim in zip(action.nodes, action.states):
-                        if w in dead:
-                            continue
-                        if cfg.state(w) != claim:
-                            cfg.set_state(w, claim)
-                            changed = True
-                elif action.kind == "arrive":
-                    for _ in range(action.count):
-                        cfg.add_node(_join_state(protocol))
-                    n = cfg.n
-                    stream_stale = True
-                    changed = True
-                else:  # revive
-                    for w in action.nodes:
-                        if w in dead:
-                            cfg.set_state(w, _join_state(protocol))
-                            dead.discard(w)
-                            changed = True
-            if changed and publish is not None:
-                publish.fault(FaultFrame(
-                    at, tuple(kinds),
-                    dict(cfg.state_counts()), cfg.n_active_edges,
-                ))
-            return changed
-
-        def drain_faults() -> bool:
-            """Apply every event due at or before ``steps``; re-bind the
-            scheduler's pair stream if the population grew."""
-            nonlocal fault_next, pair_stream, stream_stale
-            changed = False
-            while fault_next is not None and fault_next <= steps:
-                changed |= apply_fault_actions(fault_next)
-                fault_next = plan.next_step(fault_next)
-            if stream_stale:
-                pair_stream = bind_stream()
-                stream_stale = False
-            return changed
-
-        # Faults due before the first pick (at=0 crashes, arrivals etc.).
-        while fault_next is not None and fault_next <= 0:
-            apply_fault_actions(fault_next)
-            fault_next = plan.next_step(fault_next)
-        stream_stale = False
-
-        if stabilized(cfg) and steps >= horizon:
+        steps = effective = last_change = last_output_change = since_check = 0
+        faults.drain(0)  # faults due before the first pick
+        fault_next = faults.next
+        if stabilized(cfg) and steps >= faults.horizon:
             return RunResult(True, 0, 0, 0, 0, cfg, "stabilized", trace)
         pair_stream = bind_stream()
+        n = cfg.n
+        stop_reason = "max_steps"
         while steps < max_steps:
             if dead and n - len(dead) < 2:
-                if (
-                    plan is not None
-                    and plan.mutates_population
-                    and fault_next is not None
-                ):
-                    # No alive pair can advance the clock; jump it
-                    # straight to the next population event.
-                    if fault_next > max_steps:
-                        steps = max_steps
-                        break
-                    steps = fault_next
-                    if drain_faults():
-                        last_change = steps
-                        last_output_change = steps
-                    if steps >= horizon and stabilized(cfg) and (
-                        fault_next is None or fault_next > steps
-                    ):
-                        return RunResult(
-                            True, steps, effective, last_change,
-                            last_output_change, cfg, "stabilized", trace,
-                        )
+                if not (faults.mutates_population and fault_next is not None):
+                    stop_reason = "quiescent"
+                    break
+                # No alive pair can advance the clock; jump it straight
+                # to the next population event.
+                if fault_next > max_steps:
+                    steps = max_steps
+                    break
+                steps = fault_next
+            else:
+                u, v = next(pair_stream)
+                if dead and (u in dead or v in dead):
+                    # Crashed nodes left the interaction graph: this
+                    # pick is redrawn without counting a step, so the
+                    # clock counts picks among alive pairs only — as in
+                    # every engine.
                     continue
-                return RunResult(
-                    True, steps, effective, last_change,
-                    last_output_change, cfg, "quiescent", trace,
-                )
-            u, v = next(pair_stream)
-            if dead and (u in dead or v in dead):
-                # Crashed nodes left the interaction graph: this pick
-                # is redrawn without counting a step, so the clock
-                # counts picks among alive pairs only — as in every
-                # engine.
-                continue
-            steps += 1
-            result = apply_interaction(protocol, cfg, u, v, rng, steps)
-            if result.changed:
-                effective += 1
-                last_change = steps
-                assert result.event is not None
-                if _output_affected(protocol, result, result.event):
-                    last_output_change = steps
-                if publish is not None:
-                    publish.interaction(result.event, cfg)
-                since_check += 1
-            if fault_next is not None and fault_next <= steps:
-                if drain_faults():
+                steps += 1
+                result = apply_interaction(protocol, cfg, u, v, rng, steps)
+                if result.changed:
+                    effective += 1
                     last_change = steps
-                    last_output_change = steps
+                    event = result.event
+                    assert event is not None
+                    if _output_affected(out, event):
+                        last_output_change = steps
+                    if publish is not None:
+                        publish.interaction(event, cfg)
+                    since_check += 1
+            if fault_next is not None and fault_next <= steps:
+                if faults.drain(steps):
+                    last_change = last_output_change = steps
+                fault_next = faults.next
+                if cfg.n != n:
+                    # Arrivals grew the population: re-bind the stream.
+                    n = cfg.n
+                    pair_stream = bind_stream()
                 # Re-check even for a no-op fault: the certificate may
                 # have held for a while, suppressed only by the horizon
                 # gate, and no further effective step may come to
                 # re-trigger the since_check path.
-                if steps >= horizon and stabilized(cfg):
-                    return RunResult(
-                        True, steps, effective, last_change,
-                        last_output_change, cfg, "stabilized", trace,
-                    )
+                if faults.gate_open(steps) and stabilized(cfg):
+                    stop_reason = "stabilized"
+                    break
             if since_check >= check_interval:
                 since_check = 0
-                if stabilized(cfg) and steps >= horizon and (
-                    fault_next is None or fault_next > steps
-                ):
-                    return RunResult(
-                        True, steps, effective, last_change,
-                        last_output_change, cfg, "stabilized", trace,
-                    )
-        if require_convergence:
+                if stabilized(cfg) and faults.gate_open(steps):
+                    stop_reason = "stabilized"
+                    break
+        if stop_reason == "max_steps" and require_convergence:
             raise ConvergenceError(
                 f"{protocol.name} did not stabilize within {max_steps} steps "
-                f"(n={n})", steps,
+                f"(n={cfg.n})", steps,
             )
         return RunResult(
-            False, steps, effective, last_change, last_output_change, cfg,
-            "max_steps", trace,
+            stop_reason != "max_steps", steps, effective, last_change,
+            last_output_change, cfg, stop_reason, trace,
         )
 
 
-#: Backwards-compatible alias: the indexable pair set now lives in
-#: :mod:`repro.core.indexing`.
-_EffectiveSet = IndexedSet
+class _EffectivePairs(Bookkeeping):
+    """The agitated engine's pair source: the explicit set of effective
+    pairs, maintained by rescanning all ``n - 1`` partners of every node
+    whose state changes — O(n) per effective interaction."""
+
+    def __init__(self, protocol: Protocol, cfg: Configuration) -> None:
+        super().__init__(cfg)
+        self.protocol = protocol
+        self.is_effective = protocol.is_effective
+        self.pairs = IndexedSet()
+        for u in range(cfg.n):
+            self._refresh(u)
+
+    def count(self) -> int:
+        """How many alive pairs are effective."""
+        return len(self.pairs)
+
+    def _refresh(self, w: int) -> None:
+        cfg, dead, pairs = self.cfg, self.dead, self.pairs
+        sw = cfg.state(w)
+        for x in range(cfg.n):
+            if x == w or (dead and x in dead):
+                continue
+            pair = (w, x) if w < x else (x, w)
+            if self.is_effective(sw, cfg.state(x), cfg.edge_state(w, x)):
+                pairs.add(pair)
+            else:
+                pairs.discard(pair)
+
+    def fire(self, rng: random.Random, step: int) -> Event | None:
+        """Apply one uniformly drawn effective pair; its event, or
+        ``None`` when a probabilistic rule sampled the identity."""
+        u, v = self.pairs.sample(rng)
+        cfg = self.cfg
+        result = apply_interaction(self.protocol, cfg, u, v, rng, step)
+        if not result.changed:
+            return None
+        if result.u_state_changed:
+            self._refresh(u)
+        if result.v_state_changed:
+            self._refresh(v)
+        pair = (u, v) if u < v else (v, u)
+        if self.is_effective(cfg.state(u), cfg.state(v), cfg.edge_state(u, v)):
+            self.pairs.add(pair)
+        else:
+            self.pairs.discard(pair)
+        return result.event
+
+    def remove_node(self, w, nbrs, moves) -> None:
+        cfg = self.cfg
+        for x in nbrs:
+            cfg.set_edge(w, x, 0)
+        for x in range(cfg.n):
+            if x != w:
+                self.pairs.discard((w, x) if w < x else (x, w))
+        cfg.set_state(w, DEAD)
+        for x, state in moves:
+            self.move_node(x, state)
+
+    def remove_edge(self, a, b, moves) -> None:
+        super().remove_edge(a, b, moves)
+        # Re-file every pair of both endpoints: the edge went inactive
+        # and either state may have moved.
+        self._refresh(a)
+        self._refresh(b)
+
+    def move_node(self, w, state) -> None:
+        self.cfg.set_state(w, state)
+        self._refresh(w)
+
+    def add_node(self, state) -> int:
+        u = self.cfg.add_node(state)
+        self._refresh(u)
+        return u
+
+    revive_node = move_node
 
 
-class AgitatedSimulator:
-    """Event-driven engine for the uniform random scheduler.
+class _ClassCensus(Bookkeeping):
+    """The indexed engine's pair source: a
+    :class:`~repro.core.indexing.PairClassIndex` over interned state ids.
+    A state change re-files the node's O(degree) active edges and
+    recomputes the O(present states) class weights touching its old and
+    new state."""
 
-    Maintains the set of effective pairs; each iteration advances the step
-    counter by ``Geometric(p) - 1`` skipped ineffective steps with
-    ``p = |effective| / m`` and then applies a uniformly chosen effective
-    pair — exactly the law of the uniform random scheduler restricted to
-    its effective picks.
-    """
+    def __init__(self, protocol: Protocol, cfg: Configuration) -> None:
+        super().__init__(cfg)
+        self.compiled = compiled = protocol.compile()
+        self.intern = compiled.intern
+        self.state_of = compiled.state_of
+        self.sid = sid = [compiled.intern(cfg.state(u)) for u in range(cfg.n)]
+        self.adj = cfg._adj  # engine-internal: avoids a frozenset copy per move
+        self.index = index = PairClassIndex(compiled.is_effective)
+        for u in range(cfg.n):
+            index.add_node(u, sid[u])
+        for u, v in cfg.active_edges():
+            index.add_edge(u, v, sid[u], sid[v])
+        index.rebuild()
+
+    def count(self) -> int:
+        """How many alive pairs are effective."""
+        return self.index.total
+
+    def _move(self, w: int, old: int, new: int) -> None:
+        self.cfg.set_state(w, self.state_of(new))
+        sid, index = self.sid, self.index
+        for x in self.adj[w]:
+            index.move_edge(w, x, old, sid[x], new)
+        index.move_node(w, old, new)
+        sid[w] = new
+
+    def fire(self, rng: random.Random, step: int) -> Event | None:
+        """Apply one effective pair drawn class-then-pair; its event, or
+        ``None`` when a probabilistic rule sampled the identity."""
+        index, sid = self.index, self.sid
+        key = index.sample_class(rng)
+        u, v = index.sample_pair(key, rng, self.cfg.edge_state)
+        su, sv = sid[u], sid[v]
+        c = key[2]
+        dist, swapped = self.compiled.resolved(su, sv, c)
+        outcome = sample_outcome(dist, rng)
+        if swapped:
+            new_u, new_v = outcome[1], outcome[0]
+        else:
+            new_u, new_v = outcome[0], outcome[1]
+        if su == sv and new_u != new_v and rng.random() < 0.5:
+            new_u, new_v = new_v, new_u
+        new_edge = outcome[2]
+        u_changed = new_u != su
+        v_changed = new_v != sv
+        edge_changed = new_edge != c
+        if not (u_changed or v_changed or edge_changed):
+            return None
+        if u_changed:
+            self._move(u, su, new_u)
+        if v_changed:
+            self._move(v, sv, new_v)
+        if edge_changed:
+            self.cfg.set_edge(u, v, new_edge)
+            if new_edge:
+                index.add_edge(u, v, sid[u], sid[v])
+            else:
+                index.remove_edge(u, v, sid[u], sid[v])
+        if u_changed or v_changed:
+            dirty = {su, new_u} if u_changed else set()
+            if v_changed:
+                dirty.update((sv, new_v))
+            index.refresh_involving(dirty)
+        else:
+            index.refresh_pair(sid[u], sid[v])
+        state_of = self.state_of
+        return Event(
+            step, u, v,
+            state_of(su), state_of(new_u),
+            state_of(sv), state_of(new_v),
+            c, new_edge,
+        )
+
+    def neighbors(self, w) -> list[int]:
+        return list(self.adj[w])  # the live set's order, no frozenset copy
+
+    def _apply_moves(self, moves, dirty: set[int]) -> None:
+        sid = self.sid
+        for x, state in moves:
+            new_id = self.intern(state)
+            dirty.add(sid[x])
+            dirty.add(new_id)
+            self._move(x, sid[x], new_id)
+        self.index.refresh_involving(dirty)
+
+    def remove_node(self, w, nbrs, moves) -> None:
+        sid, index, cfg = self.sid, self.index, self.cfg
+        sw = sid[w]
+        for x in nbrs:
+            index.remove_edge(w, x, sw, sid[x])
+            cfg.set_edge(w, x, 0)
+        index.remove_node(w, sw)
+        cfg.set_state(w, DEAD)
+        self._apply_moves(moves, {sw})
+
+    def remove_edge(self, a, b, moves) -> None:
+        sid = self.sid
+        self.index.remove_edge(a, b, sid[a], sid[b])
+        self.cfg.set_edge(a, b, 0)
+        self._apply_moves(moves, {sid[a], sid[b]})
+
+    def move_node(self, w, state) -> None:
+        self._apply_moves([(w, state)], set())
+
+    def revive_node(self, w, state) -> None:
+        s = self.intern(state)
+        self.cfg.set_state(w, state)
+        self.sid[w] = s
+        self.index.add_node(w, s)
+        self.index.refresh_involving({s})
+
+    def add_node(self, state) -> int:
+        u = self.cfg.add_node(state)
+        self.sid.append(None)  # filed by revive_node
+        self.revive_node(u, state)
+        return u
+
+
+class _UniformEngine:
+    """The event-driven engines' shared constructor, routing and loop
+    (see the module docstring); subclasses differ only in ``_source``."""
+
+    #: The pair source class, built as ``_source(protocol, cfg)``.
+    _source: type
 
     def __init__(
         self,
@@ -520,9 +752,6 @@ class AgitatedSimulator:
     ) -> None:
         self.seed = seed
         self.faults = tuple(faults)
-
-    #: Registry name, stamped into :class:`~repro.core.trace.RunMeta`.
-    engine_name = "agitated"
 
     @classmethod
     def supports(cls, scenario) -> bool:
@@ -547,192 +776,64 @@ class AgitatedSimulator:
         copy_config: bool = True,
     ) -> RunResult:
         rng = random.Random(self.seed)
-        if config is None:
-            cfg = protocol.initial_configuration(n)
-        else:
-            cfg = config.copy() if copy_config else config
-        if cfg.n != n:
-            raise SimulationError(f"configuration has {cfg.n} nodes, expected {n}")
-        if n < 2:
-            raise SimulationError("need at least 2 nodes")
+        cfg, publish = _start(
+            self.engine_name, protocol, n, config, copy_config, trace, bus, 2
+        )
         stabilized = stop if stop is not None else protocol.stabilized
-        m = n * (n - 1) // 2
-        is_effective = protocol.is_effective
-        state = cfg.state
-        edge_state = cfg.edge_state
-
-        publish = merge_sinks(trace, bus)
-        if publish is not None:
-            publish.run_started(RunMeta(
-                protocol.name, n, self.engine_name,
-                dict(cfg.state_counts()), cfg.n_active_edges,
-            ))
-
-        effective_pairs = _EffectiveSet()
-        for u in range(n):
-            su = state(u)
-            for v in range(u + 1, n):
-                if is_effective(su, state(v), edge_state(u, v)):
-                    effective_pairs.add((u, v))
-
+        out = protocol.output_states
+        source = self._source(protocol, cfg)
         plan = compile_fault_plan(self.faults, n, self.seed, protocol)
-        dead: set[int] = set()
-        fault_next = plan.next_step(-1) if plan is not None else None
-        horizon = plan.horizon if plan is not None else -1
-
-        notify = protocol.on_neighbor_crash
-        notify_loss = protocol.on_edge_loss
-
-        def refresh_node(w: int) -> None:
-            sw = state(w)
-            for x in range(n):
-                if x == w or (dead and x in dead):
-                    continue
-                pair = (w, x) if w < x else (x, w)
-                if is_effective(sw, state(x), edge_state(w, x)):
-                    effective_pairs.add(pair)
-                else:
-                    effective_pairs.discard(pair)
-
-        def apply_fault_actions(at: int) -> bool:
-            nonlocal m, n
-            changed = False
-            kinds: list[str] = []
-            alive = [u for u in range(n) if u not in dead]
-            for action in plan.actions_at(at, cfg, alive):
-                kinds.append(action.kind)
-                if action.kind == "crash":
-                    for w in action.nodes:
-                        if w in dead:
-                            continue
-                        nbrs = list(cfg.neighbors(w))
-                        for x in nbrs:
-                            cfg.set_edge(w, x, 0)
-                        for x in range(n):
-                            if x != w:
-                                effective_pairs.discard(
-                                    (w, x) if w < x else (x, w)
-                                )
-                        cfg.set_state(w, DEAD)
-                        dead.add(w)
-                        for x in nbrs:
-                            new_state = notify(state(x))
-                            if new_state is not None and new_state != state(x):
-                                cfg.set_state(x, new_state)
-                                refresh_node(x)
-                        changed = True
-                elif action.kind == "cut":
-                    for a, b in action.edges:
-                        if a in dead or b in dead or not edge_state(a, b):
-                            continue
-                        cfg.set_edge(a, b, 0)
-                        if not action.silent:
-                            for x in (a, b):
-                                new_state = notify_loss(state(x))
-                                if new_state is not None and new_state != state(x):
-                                    cfg.set_state(x, new_state)
-                        # Re-file every pair of both endpoints: the edge
-                        # went inactive and either state may have moved.
-                        refresh_node(a)
-                        refresh_node(b)
-                        changed = True
-                elif action.kind == "corrupt":
-                    for w, claim in zip(action.nodes, action.states):
-                        if w in dead:
-                            continue
-                        if state(w) != claim:
-                            cfg.set_state(w, claim)
-                            refresh_node(w)
-                            changed = True
-                elif action.kind == "arrive":
-                    for _ in range(action.count):
-                        u_new = cfg.add_node(_join_state(protocol))
-                        n = cfg.n
-                        s_new = state(u_new)
-                        for x in range(u_new):
-                            if x in dead:
-                                continue
-                            if is_effective(s_new, state(x), 0):
-                                effective_pairs.add((x, u_new))
-                    changed = True
-                else:  # revive
-                    for w in action.nodes:
-                        if w not in dead:
-                            continue
-                        cfg.set_state(w, _join_state(protocol))
-                        dead.discard(w)
-                        refresh_node(w)
-                        changed = True
-            count = n - len(dead)
-            m = count * (count - 1) // 2
-            if changed and publish is not None:
-                publish.fault(FaultFrame(
-                    at, tuple(kinds),
-                    dict(cfg.state_counts()), cfg.n_active_edges,
-                ))
-            return changed
-
-        steps = 0
-        effective = 0
-        last_change = 0
-        last_output_change = 0
-        since_check = 0
+        faults = FaultApplier(plan, protocol, source, publish)
+        count, fire = source.count, source.fire
         log = math.log
 
-        while fault_next is not None and fault_next <= 0:
-            apply_fault_actions(fault_next)
-            fault_next = plan.next_step(fault_next)
-
-        if stabilized(cfg) and steps >= horizon:
+        steps = effective = last_change = last_output_change = since_check = 0
+        faults.drain(0)  # faults due before the first pick
+        fault_next = faults.next
+        if stabilized(cfg) and steps >= faults.horizon:
             return RunResult(True, 0, 0, 0, 0, cfg, "stabilized", trace)
+        alive = cfg.n - len(source.dead)
+        m = alive * (alive - 1) // 2
 
+        stop_reason = "max_steps"
         while True:
             if fault_next is not None and fault_next <= steps:
-                fault_changed = False
-                while fault_next is not None and fault_next <= steps:
-                    fault_changed |= apply_fault_actions(fault_next)
-                    fault_next = plan.next_step(fault_next)
-                if fault_changed:
-                    last_change = steps
-                    last_output_change = steps
+                if faults.drain(steps):
+                    last_change = last_output_change = steps
+                fault_next = faults.next
+                alive = cfg.n - len(source.dead)
+                m = alive * (alive - 1) // 2
                 # Re-check even for a no-op fault: the certificate may
                 # have been suppressed only by the horizon gate.
-                if steps >= horizon and stabilized(cfg):
-                    return RunResult(
-                        True, steps, effective, last_change,
-                        last_output_change, cfg, "stabilized", trace,
-                    )
-            k = len(effective_pairs)
+                if steps >= faults.horizon and stabilized(cfg):
+                    stop_reason = "stabilized"
+                    break
+            k = count()
             if k == 0:
-                if fault_next is not None and (
-                    horizon > steps
+                if fault_next is None or not (
+                    faults.horizon > steps
                     or cfg.n_active_edges > 0
-                    or plan.mutates_population
+                    or faults.mutates_population
                 ):
-                    # Nothing can change before the next fault event:
-                    # jump the clock straight to it.  Population-mutating
-                    # plans always warrant the jump — an arrival can
-                    # create effective pairs out of nothing.
-                    if max_steps is not None and fault_next > max_steps:
-                        steps = max_steps
-                        break
-                    steps = fault_next
-                    continue
-                return RunResult(
-                    True, steps, effective, last_change, last_output_change,
-                    cfg, "quiescent", trace,
-                )
-            if max_effective_steps is not None and effective >= max_effective_steps:
-                break
-            if k == m:
-                skip = 0
+                    stop_reason = "quiescent"
+                    break
+                # Nothing can change before the next fault event: jump
+                # the clock straight to it.  Population-mutating plans
+                # always warrant the jump — an arrival can create
+                # effective pairs out of nothing.
+                jump = True
             else:
-                # Number of failed (ineffective) picks before a success.
-                p = k / m
-                skip = int(log(1.0 - rng.random()) / log(1.0 - p))
-            if fault_next is not None and steps + skip + 1 > fault_next:
-                # A fault fires before the next effective pick; the skip
-                # is memoryless, so jump to the fault and redraw.
+                if max_effective_steps is not None and effective >= max_effective_steps:
+                    break
+                if k == m:
+                    skip = 0
+                else:
+                    # Number of failed (ineffective) picks before a success.
+                    skip = int(log(1.0 - rng.random()) / log(1.0 - k / m))
+                # A fault firing before the next effective pick: the
+                # skip is memoryless, so jump to the fault and redraw.
+                jump = fault_next is not None and steps + skip + 1 > fault_next
+            if jump:
                 if max_steps is not None and fault_next > max_steps:
                     steps = max_steps
                     break
@@ -742,52 +843,53 @@ class AgitatedSimulator:
                 steps = max_steps
                 break
             steps += skip + 1
-            u, v = effective_pairs.sample(rng)
-            result = apply_interaction(protocol, cfg, u, v, rng, steps)
-            if not result.changed:
+            event = fire(rng, steps)
+            if event is None:
                 # An effective pair may sample an identity outcome in a
                 # probabilistic rule; the step still elapsed.
                 continue
             effective += 1
             last_change = steps
-            assert result.event is not None
-            if _output_affected(protocol, result, result.event):
+            if _output_affected(out, event):
                 last_output_change = steps
             if publish is not None:
-                publish.interaction(result.event, cfg)
-            if result.u_state_changed or result.v_state_changed:
-                if result.u_state_changed:
-                    refresh_node(u)
-                if result.v_state_changed:
-                    refresh_node(v)
-            if result.edge_changed or result.u_state_changed or result.v_state_changed:
-                pair = (u, v) if u < v else (v, u)
-                if is_effective(state(u), state(v), edge_state(u, v)):
-                    effective_pairs.add(pair)
-                else:
-                    effective_pairs.discard(pair)
+                publish.interaction(event, cfg)
             since_check += 1
             if since_check >= check_interval:
                 since_check = 0
-                if stabilized(cfg) and steps >= horizon and (
-                    fault_next is None or fault_next > steps
-                ):
-                    return RunResult(
-                        True, steps, effective, last_change,
-                        last_output_change, cfg, "stabilized", trace,
-                    )
-        if require_convergence:
+                if stabilized(cfg) and faults.gate_open(steps):
+                    stop_reason = "stabilized"
+                    break
+        if stop_reason == "max_steps" and require_convergence:
             raise ConvergenceError(
-                f"{protocol.name} did not stabilize within budget (n={n})",
+                f"{protocol.name} did not stabilize within budget (n={cfg.n})",
                 steps,
             )
         return RunResult(
-            False, steps, effective, last_change, last_output_change, cfg,
-            "max_steps", trace,
+            stop_reason != "max_steps", steps, effective, last_change,
+            last_output_change, cfg, stop_reason, trace,
         )
 
 
-class IndexedSimulator:
+class AgitatedSimulator(_UniformEngine):
+    """Event-driven engine for the uniform random scheduler.
+
+    Maintains the set of effective pairs; each iteration advances the step
+    counter by ``Geometric(p) - 1`` skipped ineffective steps with
+    ``p = |effective| / m`` and then applies a uniformly chosen effective
+    pair — exactly the law of the uniform random scheduler restricted to
+    its effective picks.
+    """
+
+    #: Registry name, stamped into :class:`~repro.core.trace.RunMeta`.
+    engine_name = "agitated"
+    _source = _EffectivePairs
+    # Bound in the class body so per-engine profiling (perfbench)
+    # attributes the loop's time to this class.
+    run = _UniformEngine.run
+
+
+class IndexedSimulator(_UniformEngine):
     """State-indexed event-driven engine for the uniform random scheduler.
 
     Distributionally identical to :class:`SequentialSimulator` /
@@ -800,335 +902,10 @@ class IndexedSimulator:
     the changed node's O(degree) incident active edges re-filed.
     """
 
-    def __init__(
-        self,
-        seed: int | None = None,
-        faults: tuple[FaultModel, ...] = (),
-    ) -> None:
-        self.seed = seed
-        self.faults = tuple(faults)
-
     #: Registry name, stamped into :class:`~repro.core.trace.RunMeta`.
     engine_name = "indexed"
-
-    @classmethod
-    def supports(cls, scenario) -> bool:
-        """Event-driven: requires the uniform random scheduler (the
-        geometric skip encodes its law); faults and initial-configuration
-        overrides are fine."""
-        return scenario.uses_uniform_scheduler
-
-    def run(
-        self,
-        protocol: Protocol,
-        n: int,
-        max_steps: int | None = None,
-        *,
-        config: Configuration | None = None,
-        stop: StopPredicate | None = None,
-        trace: Trace | None = None,
-        bus: TraceBus | None = None,
-        check_interval: int = 1,
-        require_convergence: bool = False,
-        max_effective_steps: int | None = None,
-        copy_config: bool = True,
-    ) -> RunResult:
-        rng = random.Random(self.seed)
-        if config is None:
-            cfg = protocol.initial_configuration(n)
-        else:
-            cfg = config.copy() if copy_config else config
-        if cfg.n != n:
-            raise SimulationError(f"configuration has {cfg.n} nodes, expected {n}")
-        if n < 2:
-            raise SimulationError("need at least 2 nodes")
-        stabilized = stop if stop is not None else protocol.stabilized
-        m = n * (n - 1) // 2
-        publish = merge_sinks(trace, bus)
-        if publish is not None:
-            publish.run_started(RunMeta(
-                protocol.name, n, self.engine_name,
-                dict(cfg.state_counts()), cfg.n_active_edges,
-            ))
-        compiled = protocol.compile()
-        intern = compiled.intern
-        state_of = compiled.state_of
-        sid = [intern(cfg.state(u)) for u in range(n)]
-        adj = cfg._adj  # engine-internal: avoids a frozenset copy per move
-
-        index = PairClassIndex(compiled.is_effective)
-        for u in range(n):
-            index.add_node(u, sid[u])
-        for u, v in cfg.active_edges():
-            index.add_edge(u, v, sid[u], sid[v])
-        index.rebuild()
-
-        def move_node(w: int, old: int, new: int) -> None:
-            cfg.set_state(w, state_of(new))
-            for x in adj[w]:
-                index.move_edge(w, x, old, sid[x], new)
-            index.move_node(w, old, new)
-            sid[w] = new
-
-        plan = compile_fault_plan(self.faults, n, self.seed, protocol)
-        dead: set[int] = set()
-        fault_next = plan.next_step(-1) if plan is not None else None
-        horizon = plan.horizon if plan is not None else -1
-
-        notify = protocol.on_neighbor_crash
-        notify_loss = protocol.on_edge_loss
-
-        def apply_fault_actions(at: int) -> bool:
-            nonlocal m, n
-            changed = False
-            kinds: list[str] = []
-            alive = [u for u in range(n) if u not in dead]
-            for action in plan.actions_at(at, cfg, alive):
-                kinds.append(action.kind)
-                if action.kind == "crash":
-                    for w in action.nodes:
-                        if w in dead:
-                            continue
-                        sw = sid[w]
-                        nbrs = list(adj[w])
-                        for x in nbrs:
-                            index.remove_edge(w, x, sw, sid[x])
-                            cfg.set_edge(w, x, 0)
-                        index.remove_node(w, sw)
-                        cfg.set_state(w, DEAD)
-                        dead.add(w)
-                        dirty = {sw}
-                        for x in nbrs:
-                            new_state = notify(state_of(sid[x]))
-                            if new_state is None:
-                                continue
-                            new_id = intern(new_state)
-                            if new_id != sid[x]:
-                                dirty.add(sid[x])
-                                dirty.add(new_id)
-                                move_node(x, sid[x], new_id)
-                        index.refresh_involving(dirty)
-                        changed = True
-                elif action.kind == "cut":
-                    for a, b in action.edges:
-                        if a in dead or b in dead or not cfg.edge_state(a, b):
-                            continue
-                        index.remove_edge(a, b, sid[a], sid[b])
-                        cfg.set_edge(a, b, 0)
-                        dirty = {sid[a], sid[b]}
-                        if not action.silent:
-                            for x in (a, b):
-                                new_state = notify_loss(state_of(sid[x]))
-                                if new_state is None:
-                                    continue
-                                new_id = intern(new_state)
-                                if new_id != sid[x]:
-                                    dirty.add(sid[x])
-                                    dirty.add(new_id)
-                                    move_node(x, sid[x], new_id)
-                        index.refresh_involving(dirty)
-                        changed = True
-                elif action.kind == "corrupt":
-                    for w, claim in zip(action.nodes, action.states):
-                        if w in dead:
-                            continue
-                        new_id = intern(claim)
-                        if new_id != sid[w]:
-                            dirty = {sid[w], new_id}
-                            move_node(w, sid[w], new_id)
-                            index.refresh_involving(dirty)
-                            changed = True
-                elif action.kind == "arrive":
-                    s_join = intern(_join_state(protocol))
-                    for _ in range(action.count):
-                        u_new = cfg.add_node(_join_state(protocol))
-                        sid.append(s_join)
-                        index.add_node(u_new, s_join)
-                    n = cfg.n
-                    index.refresh_involving({s_join})
-                    changed = True
-                else:  # revive
-                    revived_states = set()
-                    for w in action.nodes:
-                        if w not in dead:
-                            continue
-                        s_join = intern(_join_state(protocol))
-                        cfg.set_state(w, _join_state(protocol))
-                        sid[w] = s_join
-                        index.add_node(w, s_join)
-                        dead.discard(w)
-                        revived_states.add(s_join)
-                        changed = True
-                    if revived_states:
-                        index.refresh_involving(revived_states)
-            count = n - len(dead)
-            m = count * (count - 1) // 2
-            if changed and publish is not None:
-                publish.fault(FaultFrame(
-                    at, tuple(kinds),
-                    dict(cfg.state_counts()), cfg.n_active_edges,
-                ))
-            return changed
-
-        steps = 0
-        effective = 0
-        last_change = 0
-        last_output_change = 0
-        since_check = 0
-        log = math.log
-        edge_state = cfg.edge_state
-
-        while fault_next is not None and fault_next <= 0:
-            apply_fault_actions(fault_next)
-            fault_next = plan.next_step(fault_next)
-
-        if stabilized(cfg) and steps >= horizon:
-            return RunResult(True, 0, 0, 0, 0, cfg, "stabilized", trace)
-
-        while True:
-            if fault_next is not None and fault_next <= steps:
-                fault_changed = False
-                while fault_next is not None and fault_next <= steps:
-                    fault_changed |= apply_fault_actions(fault_next)
-                    fault_next = plan.next_step(fault_next)
-                if fault_changed:
-                    last_change = steps
-                    last_output_change = steps
-                # Re-check even for a no-op fault: the certificate may
-                # have been suppressed only by the horizon gate.
-                if steps >= horizon and stabilized(cfg):
-                    return RunResult(
-                        True, steps, effective, last_change,
-                        last_output_change, cfg, "stabilized", trace,
-                    )
-            k = index.total
-            if k == 0:
-                if fault_next is not None and (
-                    horizon > steps
-                    or cfg.n_active_edges > 0
-                    or plan.mutates_population
-                ):
-                    # Nothing can change before the next fault event:
-                    # jump the clock straight to it.  Population-mutating
-                    # plans always warrant the jump — an arrival can
-                    # create effective pairs out of nothing.
-                    if max_steps is not None and fault_next > max_steps:
-                        steps = max_steps
-                        break
-                    steps = fault_next
-                    continue
-                return RunResult(
-                    True, steps, effective, last_change, last_output_change,
-                    cfg, "quiescent", trace,
-                )
-            if max_effective_steps is not None and effective >= max_effective_steps:
-                break
-            if k == m:
-                skip = 0
-            else:
-                # Number of failed (ineffective) picks before a success.
-                p = k / m
-                skip = int(log(1.0 - rng.random()) / log(1.0 - p))
-            if fault_next is not None and steps + skip + 1 > fault_next:
-                # A fault fires before the next effective pick; the skip
-                # is memoryless, so jump to the fault and redraw.
-                if max_steps is not None and fault_next > max_steps:
-                    steps = max_steps
-                    break
-                steps = fault_next
-                continue
-            if max_steps is not None and steps + skip + 1 > max_steps:
-                steps = max_steps
-                break
-            steps += skip + 1
-
-            key = index.sample_class(rng)
-            u, v = index.sample_pair(key, rng, edge_state)
-            su, sv = sid[u], sid[v]
-            c = key[2]
-            dist, swapped = compiled.resolved(su, sv, c)
-            if len(dist) == 1:
-                outcome = dist[0][1]
-            else:
-                roll = rng.random()
-                acc = 0.0
-                outcome = dist[-1][1]
-                for prob, candidate in dist:
-                    acc += prob
-                    if roll < acc:
-                        outcome = candidate
-                        break
-            if swapped:
-                new_u, new_v = outcome[1], outcome[0]
-            else:
-                new_u, new_v = outcome[0], outcome[1]
-            if su == sv and new_u != new_v and rng.random() < 0.5:
-                new_u, new_v = new_v, new_u
-            new_edge = outcome[2]
-            u_changed = new_u != su
-            v_changed = new_v != sv
-            edge_changed = new_edge != c
-            if not (u_changed or v_changed or edge_changed):
-                # An effective class may sample an identity outcome in a
-                # probabilistic rule; the step still elapsed.
-                continue
-
-            if u_changed:
-                move_node(u, su, new_u)
-            if v_changed:
-                move_node(v, sv, new_v)
-            if edge_changed:
-                cfg.set_edge(u, v, new_edge)
-                if new_edge:
-                    index.add_edge(u, v, sid[u], sid[v])
-                else:
-                    index.remove_edge(u, v, sid[u], sid[v])
-            if u_changed or v_changed:
-                dirty = set()
-                if u_changed:
-                    dirty.add(su)
-                    dirty.add(new_u)
-                if v_changed:
-                    dirty.add(sv)
-                    dirty.add(new_v)
-                index.refresh_involving(dirty)
-            else:
-                index.refresh_pair(sid[u], sid[v])
-
-            effective += 1
-            last_change = steps
-            event = Event(
-                steps, u, v,
-                state_of(su), state_of(new_u),
-                state_of(sv), state_of(new_v),
-                c, new_edge,
-            )
-            result = InteractionResult(
-                True, u_changed, v_changed, edge_changed, event
-            )
-            if _output_affected(protocol, result, event):
-                last_output_change = steps
-            if publish is not None:
-                publish.interaction(event, cfg)
-            since_check += 1
-            if since_check >= check_interval:
-                since_check = 0
-                if stabilized(cfg) and steps >= horizon and (
-                    fault_next is None or fault_next > steps
-                ):
-                    return RunResult(
-                        True, steps, effective, last_change,
-                        last_output_change, cfg, "stabilized", trace,
-                    )
-        if require_convergence:
-            raise ConvergenceError(
-                f"{protocol.name} did not stabilize within budget (n={n})",
-                steps,
-            )
-        return RunResult(
-            False, steps, effective, last_change, last_output_change, cfg,
-            "max_steps", trace,
-        )
+    _source = _ClassCensus
+    run = _UniformEngine.run  # see AgitatedSimulator.run
 
 
 #: Engine registry: name -> engine class taking ``seed=`` and

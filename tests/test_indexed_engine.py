@@ -509,12 +509,36 @@ class TestFaultedDistributionalEquivalence:
             Scenario(faults=("crash:count=2,at=50",)), 500_000,
         )
 
+    def test_crash_then_recover(self):
+        from repro.core.scenario import Scenario
+        from repro.protocols import FTGlobalLine
+
+        # The revive path: crashed nodes rejoin in the initial state, so
+        # every engine must re-file them into its pair bookkeeping.
+        self._check(
+            FTGlobalLine, 8,
+            Scenario(faults=("crash:count=2,at=50", "recover:count=2,at=200")),
+            200_000,
+        )
+
     def test_edge_drop(self):
         from repro.core.scenario import Scenario
 
         self._check(
             SimpleGlobalLine, 8,
             Scenario(faults=("edge-drop:rate=0.002",)), 100_000,
+        )
+
+    def test_edge_drop_with_loss_notification(self):
+        from repro.core.scenario import Scenario
+        from repro.protocols import FTGlobalLine
+
+        # The loud on_edge_loss path: unlike SimpleGlobalLine's no-op
+        # hook, the fault-tolerant line moves both endpoints of a
+        # dropped edge, which each engine must re-file.
+        self._check(
+            FTGlobalLine, 8,
+            Scenario(faults=("edge-drop:rate=0.02",)), 100_000,
         )
 
     def test_arrivals(self):
