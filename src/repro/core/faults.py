@@ -248,8 +248,9 @@ class FaultAction:
     * ``"revive"`` — return every :data:`DEAD` node in ``nodes`` to the
       protocol's initial state.
 
-    Engines apply actions through their own mutation paths so indexes
-    stay coherent.
+    The per-node engines apply actions through
+    :class:`~repro.core.simulator.FaultApplier`, whose per-engine
+    bookkeeping hooks keep their indexes coherent.
     """
 
     step: int

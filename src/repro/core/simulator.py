@@ -273,6 +273,8 @@ class Bookkeeping:
             cfg.set_edge(w, x, 0)
         for x, state in moves:
             cfg.set_state(x, state)
+        # Marked DEAD after the moves, unlike the pair sources: the
+        # order fixes the census key order in this engine's fault frames.
         cfg.set_state(w, DEAD)
 
     def remove_edge(self, a: int, b: int, moves: list) -> None:
