@@ -23,6 +23,7 @@ import pytest
 from repro.core.scenario import Scenario, make_scenario_engine
 from repro.core.trace import BusSubscriber, Trace, TraceBus
 from repro.protocols import FTGlobalLine, SimpleGlobalLine
+from repro.protocols.registry import instantiate
 
 SEEDS = (0, 1, 2)
 N = 8
@@ -89,6 +90,25 @@ ENGINE_NAMES = ("sequential", "agitated", "indexed", "count")
 
 #: The cell whose trace and bus frames are hashed, per engine.
 TRACED_CELL = "crash"
+
+
+#: Larger-population cells for the indexed engine: at n=8 the census
+#: buckets are tiny and few states are present, so bucket order and
+#: class order barely matter.  Protocol spec x fault set at n=40 over
+#: two seeds, capped at 200k steps and 1500 effective interactions.
+LARGE_N = 40
+LARGE_SEEDS = (0, 1)
+LARGE_BUDGET = 200_000
+LARGE_EFFECTIVE = 1500
+LARGE_PROTOCOLS = (
+    "fast-global-line", "global-star", "c-cliques", "2rc", "k-regular-connected",
+)
+LARGE_FAULTS = {
+    "none": (),
+    "crash": ("crash:count=3,at=500",),
+    "arrive": ("arrive:count=4,at=300",),
+    "byzantine": ("byzantine:count=2,rate=0.01,lie=0.5",),
+}
 
 
 def _supported(engine: str, cell: str) -> bool:
@@ -159,6 +179,19 @@ def cell_digest(engine: str, cell: str, traced: bool = False) -> str:
     return _sha(payload)
 
 
+def large_cell_digest(protocol: str, faults: str) -> str:
+    scenario = Scenario(faults=LARGE_FAULTS[faults])
+    payload = []
+    for seed in LARGE_SEEDS:
+        sim = make_scenario_engine("indexed", seed, scenario)
+        result = sim.run(
+            instantiate(protocol), LARGE_N, LARGE_BUDGET,
+            max_effective_steps=LARGE_EFFECTIVE,
+        )
+        payload.append(_outcome(result))
+    return _sha(payload)
+
+
 EXPECTED: dict[tuple[str, str], str] = {
     ("sequential", "plain"): "665c900b34c668089a22fc44bd9731cf5fa38c4ade3976deee323490503683f0",
     ("sequential", "crash"): "e8abfd1bbafacca07472b88ab2e4fb5cfd2051d072ca8edabf55ca4f1918739f",
@@ -219,6 +252,30 @@ EXPECTED_TRACED: dict[str, str] = {
     "count": "f490e3d63aea8e0c900f22e6912db1947b32481bedb456fedc8972383925a655",
 }
 
+#: Indexed engine, (protocol spec, fault set) at LARGE_N.
+EXPECTED_LARGE: dict[tuple[str, str], str] = {
+    ("fast-global-line", "none"): "22911c2629a22418570c7351057a87d2bfb3494ce34da795772a20db6af45b88",
+    ("fast-global-line", "crash"): "1a381dd9ca515619be01ff19fe9326aa9d74917487f9ea4133009f6c4d725963",
+    ("fast-global-line", "arrive"): "747a8aeae5bfd2e90f227175be6c0a56d09064561f1d8472c7f717b8b6e105d8",
+    ("fast-global-line", "byzantine"): "1d40b295f41b1320cb8cac082e387084a4a69edd2fd7354aadc75087b8863a20",
+    ("global-star", "none"): "78943c9f6062baa9161b12494af134bf7c578b9ea6a5c3209c8d191d19da8437",
+    ("global-star", "crash"): "997de1bf3f3fdc99259c2fb61471fd5027b25d9fbde8335d09aa09a334c6f207",
+    ("global-star", "arrive"): "d1928f3389aebb603ad4e68e9cfd55806211481465988a1f7c9403b66e3e8106",
+    ("global-star", "byzantine"): "dab7a0f4c78b6184e85a4bd8bf799c1e3db66277823bc14cc39503faa39cb152",
+    ("c-cliques", "none"): "da5571f0d023839b34b72521ee9ff9cf1c507b915c76988d3804cf06620499c8",
+    ("c-cliques", "crash"): "ada4e5c0fe8aac8beb8f91aa3fdeb0e11c112631f6373df1257f1a80c6ce9622",
+    ("c-cliques", "arrive"): "ed4ea68405fdf3373b0b29e36f8e1dae8f3507d3c3acb7369a83d7ca4618034e",
+    ("c-cliques", "byzantine"): "bbd0f82d9a6eee6f2efba39d4d51e9602a30ab343c6c77d367cdd0c4509e6f68",
+    ("2rc", "none"): "9aa71102c4e210ddfe8d0d4e2ca9bc833b095f928927e416876d98767a6029df",
+    ("2rc", "crash"): "a62802bb29df7c60d6da95f6266e22ba40f04f782b4f227c8da630333d439f95",
+    ("2rc", "arrive"): "6d1a0a48ac98321b6d98a431fe6abe968a4ec1a780b925ec0692979c79277d34",
+    ("2rc", "byzantine"): "88db872cc57a9fbba5c7d036dfb4781474910094543c58f23eb57a1ec554db33",
+    ("k-regular-connected", "none"): "820ebf1893dc90f3ef124989471d1c7fa0b0bfec929ef08d7c1a80983a7196c7",
+    ("k-regular-connected", "crash"): "95403ed4256488ec7ab38f274d470ed3703be9aabbef583b2adc8f7f79d77b56",
+    ("k-regular-connected", "arrive"): "7f572411d0ef13ffeefb44b3fea7e204f918f982819fa56f464b103c8251e72b",
+    ("k-regular-connected", "byzantine"): "6b1abcc3a6a5546ece9f791fde42337b86197511ffe1e2da8e5d23d9d382cb83",
+}
+
 
 @pytest.mark.parametrize("engine,cell", sorted(EXPECTED))
 def test_engine_cell_digest(engine, cell):
@@ -230,6 +287,11 @@ def test_engine_trace_digest(engine):
     assert cell_digest(engine, TRACED_CELL, traced=True) == EXPECTED_TRACED[engine]
 
 
+@pytest.mark.parametrize("protocol,faults", sorted(EXPECTED_LARGE))
+def test_indexed_large_cell_digest(protocol, faults):
+    assert large_cell_digest(protocol, faults) == EXPECTED_LARGE[(protocol, faults)]
+
+
 def test_every_supported_cell_is_pinned():
     expected = {
         (engine, cell)
@@ -239,6 +301,9 @@ def test_every_supported_cell_is_pinned():
     }
     assert set(EXPECTED) == expected
     assert set(EXPECTED_TRACED) == set(ENGINE_NAMES)
+    assert set(EXPECTED_LARGE) == {
+        (protocol, faults) for protocol in LARGE_PROTOCOLS for faults in LARGE_FAULTS
+    }
 
 
 if __name__ == "__main__":
@@ -249,3 +314,6 @@ if __name__ == "__main__":
                 print(f'    ("{engine}", "{cell}"): "{cell_digest(engine, cell)}",')
     for engine in ENGINE_NAMES:
         print(f'    "{engine}": "{cell_digest(engine, TRACED_CELL, traced=True)}",')
+    for protocol in LARGE_PROTOCOLS:
+        for faults in LARGE_FAULTS:
+            print(f'    ("{protocol}", "{faults}"): "{large_cell_digest(protocol, faults)}",')
