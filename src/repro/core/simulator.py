@@ -642,11 +642,8 @@ class _ClassCensus(Bookkeeping):
 
     def _move(self, w: int, old: int, new: int) -> None:
         self.cfg.set_state(w, self.state_of(new))
-        sid, index = self.sid, self.index
-        for x in self.adj[w]:
-            index.move_edge(w, x, old, sid[x], new)
-        index.move_node(w, old, new)
-        sid[w] = new
+        self.index.move_node(w, old, new, self.adj[w], self.sid)
+        self.sid[w] = new
 
     def fire(self, rng: random.Random, step: int) -> Event | None:
         """Apply one effective pair drawn class-then-pair; its event, or
