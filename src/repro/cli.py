@@ -533,7 +533,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument(
         "--max-configs", type=int, default=None, metavar="N",
         help="cap on canonical configurations explored per protocol "
-        "(default: 200000)",
+        "(default: 200000); a protocol that exceeds it prints model "
+        "INCOMPLETE and counts as a failure",
     )
     verify_p.add_argument(
         "--counterexample-dot", default=None, metavar="PATH",
@@ -1081,6 +1082,7 @@ VERIFY_POPULATIONS = (4, 5, 3, 2, 6)
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify import (
         DEFAULT_MAX_CONFIGS,
+        MaxConfigsExceeded,
         VerifyCache,
         VerifyError,
         model_check,
@@ -1144,6 +1146,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 continue
             try:
                 result = model_check(protocol, n, max_configs=max_configs)
+            except MaxConfigsExceeded as exc:
+                # A requested proof that never finished is not a pass.
+                print(f"{spec}: model INCOMPLETE ({exc})")
+                failures += 1
+                continue
             except VerifyError as exc:
                 print(f"{spec}: model SKIP ({exc})")
                 continue

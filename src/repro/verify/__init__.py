@@ -48,6 +48,7 @@ from repro.verify.lints import (
 )
 from repro.verify.model import (
     DEFAULT_MAX_CONFIGS,
+    MaxConfigsExceeded,
     ModelCheckReport,
     StateGraph,
     Violation,
@@ -66,6 +67,7 @@ __all__ = [
     "HOOKS",
     "LINT_CODES",
     "LintReport",
+    "MaxConfigsExceeded",
     "ModelCheckReport",
     "StateGraph",
     "VERIFY_CACHE_VERSION",

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.cli import main
 from repro.core.protocol import Protocol, TableProtocol, deterministic
 from repro.protocols import registry
 from repro.protocols.registry import RegistryError, target_predicate
@@ -516,3 +517,34 @@ class TestVerifyCache:
         b = protocol_digest(mutant, 4, target=None, max_configs=1000)
         assert a != b
         assert a != protocol_digest(base, 5, target=None, max_configs=1000)
+
+
+# ----------------------------------------------------------------------
+# The verify subcommand
+# ----------------------------------------------------------------------
+
+class TestVerifyCli:
+    def test_capped_model_check_is_incomplete_and_fails(self, capsys):
+        """A model check cut short by --max-configs proved nothing: it
+        must not read as a pass."""
+        rc = main([
+            "verify", "--protocol", "global-star", "--n", "6",
+            "--checks", "model", "--max-configs", "3",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "global-star: model INCOMPLETE (" in out
+        assert "max_configs=3" in out
+        assert "SKIP" not in out
+        assert "1 protocol(s) FAILED" in out
+
+    def test_structured_and_rejected_populations_still_skip(self, capsys):
+        rc = main([
+            "verify", "--protocol", "line-tm",
+            "--protocol", "graph-replication", "--n", "4",
+            "--checks", "model",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "line-tm: SKIP (structured state space" in out
+        assert "graph-replication: model SKIP (no accepted population" in out
